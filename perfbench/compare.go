@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -41,7 +40,9 @@ type specMetric struct {
 //     wider than the bound, so the bound cannot be checked;
 //   - worse: the new median is worse than the old by more than the bound
 //     (for a metric without a bound: the mirror image of better);
-//   - unchanged: otherwise.
+//   - unchanged: otherwise;
+//   - failed, in place of any of these: the new set failed a larger share
+//     of its operations than the old, or has a line with failed checks.
 const winShare = 0.9
 
 type comparison struct {
@@ -104,8 +105,39 @@ func compare(old, cur []float64, lowerBetter bool, bound *float64) comparison {
 	return c
 }
 
-// loadSet reads every <workload>.jsonl of dir: workload → metric → values.
-func loadSet(dir string) (map[string]map[string][]float64, error) {
+// outcome is a result set's correctness tally for one workload, summed
+// over its result lines.
+type outcome struct {
+	attempted, failed int
+	incorrect         int // lines with "correct": false
+}
+
+func (o outcome) ratio() float64 {
+	if o.attempted == 0 {
+		return 0
+	}
+	return float64(o.failed) / float64(o.attempted)
+}
+
+// gate withholds a speed verdict from a new set that failed more of its
+// operations than the old one, or has a line whose checks failed: its
+// figures are not of working code.
+func gate(verdict string, old, cur outcome) string {
+	if cur.incorrect > 0 || cur.ratio() > old.ratio() {
+		return "failed"
+	}
+	return verdict
+}
+
+// workloadSet is one workload's result lines: metric → values, in run
+// order, and the lines' correctness tally.
+type workloadSet struct {
+	metrics map[string][]float64
+	outcome
+}
+
+// loadSet reads every <workload>.jsonl of dir.
+func loadSet(dir string) (map[string]*workloadSet, error) {
 	files, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil {
 		return nil, err
@@ -113,23 +145,24 @@ func loadSet(dir string) (map[string]map[string][]float64, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("%s: no <workload>.jsonl result files", dir)
 	}
-	set := map[string]map[string][]float64{}
+	set := map[string]*workloadSet{}
 	for _, path := range files {
-		w := strings.TrimSuffix(filepath.Base(path), ".jsonl")
-		set[w] = map[string][]float64{}
-		if err := readResults(path, set[w]); err != nil {
+		ws, err := readResults(path)
+		if err != nil {
 			return nil, err
 		}
+		set[strings.TrimSuffix(filepath.Base(path), ".jsonl")] = ws
 	}
 	return set, nil
 }
 
-func readResults(path string, into map[string][]float64) error {
+func readResults(path string) (*workloadSet, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
+	ws := &workloadSet{metrics: map[string][]float64{}}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	for n := 1; sc.Scan(); n++ {
@@ -139,40 +172,50 @@ func readResults(path string, into map[string][]float64) error {
 		}
 		var r result
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return fmt.Errorf("%s:%d: %w", path, n, err)
+			return nil, fmt.Errorf("%s:%d: %w", path, n, err)
+		}
+		ws.attempted += r.Attempted
+		ws.failed += r.Failed
+		if !r.Correct {
+			ws.incorrect++
 		}
 		for name, m := range r.Metrics {
-			into[name] = append(into[name], m.Value)
+			ws.metrics[name] = append(ws.metrics[name], m.Value)
 		}
 	}
-	return sc.Err()
+	return ws, sc.Err()
 }
 
+// specPath is the benchmark definition the comparator takes the metrics'
+// bounds from, relative to the repository root run.sh runs in.
+const specPath = "BENCHMARK.json"
+
 func compareMain(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	specPath := fs.String("spec", "BENCHMARK.json", "benchmark definition with the metrics' bounds")
-	if err := fs.Parse(args); err != nil {
-		return err
+	if len(args) != 2 {
+		return fmt.Errorf("usage: compare <old-dir> <new-dir>")
 	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("usage: compare [-spec BENCHMARK.json] <old-dir> <new-dir>")
-	}
-	raw, err := os.ReadFile(*specPath)
+	raw, err := os.ReadFile(specPath)
 	if err != nil {
 		return err
 	}
 	var spec benchSpec
 	if err := json.Unmarshal(raw, &spec); err != nil {
-		return fmt.Errorf("%s: %w", *specPath, err)
+		return fmt.Errorf("%s: %w", specPath, err)
 	}
-	old, err := loadSet(fs.Arg(0))
+	old, err := loadSet(args[0])
 	if err != nil {
 		return err
 	}
-	cur, err := loadSet(fs.Arg(1))
+	cur, err := loadSet(args[1])
 	if err != nil {
 		return err
 	}
+	return report(w, spec, old, cur)
+}
+
+// report prints the comparison table: per workload a failed_ratio row
+// (failed over attempted operations on each side), then every metric.
+func report(w io.Writer, spec benchSpec, old, cur map[string]*workloadSet) error {
 	workloads := make([]string, 0, len(old))
 	for wl := range old {
 		if _, ok := cur[wl]; ok {
@@ -182,9 +225,14 @@ func compareMain(args []string, w io.Writer) error {
 	sort.Strings(workloads)
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "metric\tworkload\told median [q1, q3]\tnew median [q1, q3]\tpairs won\tbound\tverdict")
+	for _, wl := range workloads {
+		o, c := old[wl].outcome, cur[wl].outcome
+		fmt.Fprintf(tw, "failed_ratio\t%s\t%d/%d\t%d/%d\t-\t-\t%s\n",
+			wl, o.failed, o.attempted, c.failed, c.attempted, gate("ok", o, c))
+	}
 	for _, m := range append(spec.EndToEnd, spec.PerLayer...) {
 		for _, wl := range workloads {
-			ov, nv := old[wl][m.Name], cur[wl][m.Name]
+			ov, nv := old[wl].metrics[m.Name], cur[wl].metrics[m.Name]
 			if len(ov) == 0 && len(nv) == 0 {
 				continue
 			}
@@ -195,7 +243,8 @@ func compareMain(args []string, w io.Writer) error {
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%.4g [%.4g, %.4g] %s\t%.4g [%.4g, %.4g] %s\t%d/%d\t%s\t%s\n",
 				m.Name, wl, c.oldQ[1], c.oldQ[0], c.oldQ[2], m.Unit,
-				c.newQ[1], c.newQ[0], c.newQ[2], m.Unit, c.wins, c.pairs, bound, c.verdict)
+				c.newQ[1], c.newQ[0], c.newQ[2], m.Unit, c.wins, c.pairs, bound,
+				gate(c.verdict, old[wl].outcome, cur[wl].outcome))
 		}
 	}
 	return tw.Flush()

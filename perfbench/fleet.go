@@ -167,7 +167,7 @@ func (f *fleet) observe(route, job string, start, end time.Time) {
 	}
 }
 
-func (f *fleet) rep(r int, tr *tracer) (string, time.Duration, error) {
+func (f *fleet) rep(r int, tr *tracer) (string, []time.Duration, error) {
 	f.ctp.tr.Store(tr)
 	f.wtp.tr.Store(tr)
 	defer f.ctp.tr.Store(nil)
@@ -177,7 +177,7 @@ func (f *fleet) rep(r int, tr *tracer) (string, time.Duration, error) {
 	run, err := f.client.runJob(tr, fmt.Sprintf("rep%d/job", r), m)
 	f.e.tally.op(err)
 	if err != nil {
-		return "", 0, err
+		return "", nil, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -193,7 +193,7 @@ func (f *fleet) rep(r int, tr *tracer) (string, time.Duration, error) {
 		f.tComputed += run.job.Computed
 		f.tHits += run.job.CacheHits
 	}
-	return "", run.latency, nil
+	return "", []time.Duration{run.latency}, nil
 }
 
 func (f *fleet) details() map[string]float64 {
@@ -233,7 +233,7 @@ func (f *fleet) layers(tr *tracer, m metrics) error {
 	if err := storeMetrics(f.srv.storeDir, m); err != nil {
 		return err
 	}
-	return probeKernels(f.probes, f.e.seed, m)
+	return probeKernels(f.probes, f.e.seed, true, m)
 }
 
 // close stops the workers, waits for them, then stops the coordinator;

@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,23 +44,17 @@ type workload struct {
 // instance is a set-up workload.
 type instance interface {
 	// rep runs the fixed work once (repetition r) and returns a digest of
-	// its outputs and the time the fixed work took, which leaves out any
-	// checking done after it; tr is nil for an untraced repetition. Failed
-	// operations and checks go to the env's tally.
-	rep(r int, tr *tracer) (digest string, wall time.Duration, err error)
+	// its outputs and the times of the fixed work's parts, always the same
+	// parts in the same order, which leave out any checking done after
+	// them; tr is nil for an untraced repetition. Failed operations and
+	// checks go to the env's tally.
+	rep(r int, tr *tracer) (digest string, parts []time.Duration, err error)
 	// layers adds the per-layer metrics this workload measures, from the
 	// traced repetitions' tracer and its own probes.
 	layers(tr *tracer, m metrics) error
 	// details are workload-specific figures printed beside the result.
 	details() map[string]float64
 	close()
-}
-
-// partTimer is implemented by workloads whose fixed work is a sequence of
-// separately timed parts; their wall_s is partsWall, not the median of the
-// repetitions' totals.
-type partTimer interface {
-	partsWall() float64
 }
 
 // env is what a set-up gets: its seed, a private directory, the worker
@@ -108,7 +101,6 @@ func main() {
 	seed := fs.Int64("seed", 1, "workload seed; every input derives from it")
 	seconds := fs.Int("seconds", 15, "how long to repeat the fixed work")
 	trace := fs.Int("trace", 0, "1: traced run reporting per-layer metrics")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the timed repetitions to `file`")
 	fs.Parse(os.Args[1:])
 	w, ok := workloads[*name]
 	if !ok || *seconds < 1 || (*trace != 0 && *trace != 1) {
@@ -116,7 +108,7 @@ func main() {
 			*name, *seconds, *trace)
 		os.Exit(2)
 	}
-	res, err := run(w, *seed, time.Duration(*seconds)*time.Second, *trace == 1, *cpuProfile)
+	res, err := run(w, *seed, time.Duration(*seconds)*time.Second, *trace == 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
@@ -131,7 +123,7 @@ func main() {
 
 // run sets the workload up setupReps times, repeats its fixed work for at
 // least budget, checks outputs, and assembles the result.
-func run(w workload, seed int64, budget time.Duration, traced bool, cpuProfile string) (result, error) {
+func run(w workload, seed int64, budget time.Duration, traced bool) (result, error) {
 	dir := filepath.Join(workDir, fmt.Sprintf("run-%s-%d-%d", w.name, seed, os.Getpid()))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return result{}, err
@@ -175,21 +167,13 @@ func run(w workload, seed int64, budget time.Duration, traced bool, cpuProfile s
 
 	// The fixed work, repeated; a traced run alternates untraced and
 	// traced repetitions so the two sides see the same machine state.
-	var walls, tracedWalls, peaks []float64
+	var parts, tracedParts [][]float64
+	var walls, peaks []float64
+	tracedReps := 0
 	digests := map[string]bool{}
 	minReps := w.minReps
 	if traced {
 		minReps = max(minReps, 4)
-	}
-	if cpuProfile != "" {
-		f, err := os.Create(cpuProfile)
-		if err != nil {
-			return result{}, err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return result{}, err
-		}
 	}
 	start := time.Now()
 	for r := 0; r < minReps || time.Since(start) < budget; r++ {
@@ -201,16 +185,21 @@ func run(w workload, seed int64, budget time.Duration, traced bool, cpuProfile s
 		// and peak memory do not depend on what the one before left.
 		debug.FreeOSMemory()
 		resetPeakRSS()
-		digest, wall, err := inst.rep(r, rtr)
+		digest, ds, err := inst.rep(r, rtr)
 		peak := peakRSSMB()
-		d := wall.Seconds()
 		if err != nil {
 			return result{}, fmt.Errorf("%s repetition %d: %w", w.name, r, err)
 		}
 		if rtr != nil {
-			tracedWalls = append(tracedWalls, d)
+			tracedParts = addParts(tracedParts, ds)
+			tracedReps++
 		} else {
-			walls = append(walls, d)
+			parts = addParts(parts, ds)
+			total := 0.0
+			for _, d := range ds {
+				total += d.Seconds()
+			}
+			walls = append(walls, total)
 			if len(peaks) < w.minReps {
 				peaks = append(peaks, peak)
 			}
@@ -219,7 +208,6 @@ func run(w workload, seed int64, budget time.Duration, traced bool, cpuProfile s
 			digests[digest] = true
 		}
 	}
-	pprof.StopCPUProfile() // a no-op when not profiling
 	// Same seed, same inputs: every repetition, timed or traced, must
 	// produce identical bytes (workloads whose repetitions vary their
 	// inputs return no digest and check each output against a reference).
@@ -231,24 +219,21 @@ func run(w workload, seed int64, budget time.Duration, traced bool, cpuProfile s
 	details := inst.details()
 	m := metrics{
 		"setup_s":    median(setups),
-		"wall_s":     median(walls),
+		"wall_s":     partsWall(parts),
 		"max_rss_mb": median(peaks),
-	}
-	if pt, ok := inst.(partTimer); ok {
-		m["wall_s"] = pt.partsWall()
 	}
 	if traced {
 		m = metrics{}
 		if err := inst.layers(tr, m); err != nil {
 			return result{}, fmt.Errorf("%s layers: %w", w.name, err)
 		}
-		m["trace.overhead.wall_s"] = median(tracedWalls) - median(walls)
+		m["trace.overhead.wall_s"] = partsWall(tracedParts) - partsWall(parts)
 		m["trace.overhead.setup_s"] = tracedSetup - median(setups)
 		tr.mu.Lock()
 		m["trace.spans"] = float64(len(tr.spans))
 		tr.mu.Unlock()
 		fmt.Printf("# tracing overhead %s: wall_s %+.4f s (traced %.4f vs untraced %.4f), setup_s %+.4f s\n",
-			w.name, m["trace.overhead.wall_s"], median(tracedWalls), median(walls), m["trace.overhead.setup_s"])
+			w.name, m["trace.overhead.wall_s"], partsWall(tracedParts), partsWall(parts), m["trace.overhead.setup_s"])
 		path := filepath.Join(workDir, fmt.Sprintf("trace-%s-seed%d.json", w.name, seed))
 		err := tr.write(path, traceFile{Workload: w.name, Seed: seed, Derived: derivedShares(m),
 			Overhead: map[string]float64{"wall_s": m["trace.overhead.wall_s"], "setup_s": m["trace.overhead.setup_s"]}})
@@ -262,7 +247,7 @@ func run(w workload, seed int64, budget time.Duration, traced bool, cpuProfile s
 	}
 	details["wall_min_s"], details["wall_max_s"] = sortedCopy(walls)[0], sortedCopy(walls)[len(walls)-1]
 	details["failed_ratio"] = tl.ratio()
-	printDetails(w.name, len(walls), len(tracedWalls), details)
+	printDetails(w.name, len(walls), tracedReps, details)
 	for _, n := range tl.notes {
 		fmt.Fprintln(os.Stderr, "perfbench:", n)
 	}
@@ -281,6 +266,29 @@ func run(w workload, seed int64, budget time.Duration, traced bool, cpuProfile s
 		Failed:    tl.failed,
 		Metrics:   out,
 	}, nil
+}
+
+// addParts appends one repetition's part times, in s, to the per-part
+// lists.
+func addParts(parts [][]float64, ds []time.Duration) [][]float64 {
+	if parts == nil {
+		parts = make([][]float64, len(ds))
+	}
+	for i, d := range ds {
+		parts[i] = append(parts[i], d.Seconds())
+	}
+	return parts
+}
+
+// partsWall is the fixed work's time as the sum, over its parts, of each
+// part's median over the repetitions: a burst of host noise during one
+// part of one repetition does not move it.
+func partsWall(parts [][]float64) float64 {
+	total := 0.0
+	for _, ts := range parts {
+		total += median(ts)
+	}
+	return total
 }
 
 func printDetails(name string, reps, tracedReps int, d map[string]float64) {

@@ -17,10 +17,13 @@ import (
 // How much work a panel does depends on its seed's channel realization
 // (the NTX a bootstrap settles on sets every chain's length), so several
 // short passes over different seeds keep one seed's luck from setting the
-// run's figure.
+// run's figure. For the same reason the probe inputs set-up bootstraps
+// are drawn over paperProbeSeeds channel seeds: one seed's bootstrap can
+// cost twice another's.
 const (
 	paperIterations = 4
 	paperSeeds      = 2
+	paperProbeSeeds = 8
 )
 
 // paperSizes and paperNTXs are the scalability and coverage axes of
@@ -38,67 +41,67 @@ type paper struct {
 	seeds    []int64
 	testbeds []topology.Topology
 	probes   []core.Config
-	parts    map[string][]float64 // untraced part times, s
 }
 
 func setupPaper(e *env, tr *tracer) (instance, error) {
-	p := &paper{e: e, testbeds: []topology.Topology{topology.FlockLab(), topology.DCube()},
-		parts: map[string][]float64{}}
+	p := &paper{e: e, testbeds: []topology.Topology{topology.FlockLab(), topology.DCube()}}
 	for k := 0; k < paperSeeds; k++ {
 		p.seeds = append(p.seeds, mix(e.seed, 10, k))
 	}
 	// Probe inputs: each testbed at its largest source count, both
-	// protocols, bootstrapped once here so a broken input fails set-up.
-	for _, spec := range []experiment.SweepSpec{
-		experiment.FlockLabSweep(paperIterations, e.seed),
-		experiment.DCubeSweep(paperIterations, e.seed),
-	} {
-		for _, proto := range []core.Protocol{core.S3, core.S4} {
-			cfg, err := testbedConfig(spec.Testbed, spec.SourceCounts[len(spec.SourceCounts)-1],
-				spec.NTXSharing, proto, e.seed)
-			if err != nil {
-				return nil, err
+	// protocols, on each probe channel seed, bootstrapped once here so a
+	// broken input fails set-up.
+	for k := 0; k < paperProbeSeeds; k++ {
+		seed := mix(e.seed, 11, k)
+		for _, spec := range []experiment.SweepSpec{
+			experiment.FlockLabSweep(paperIterations, seed),
+			experiment.DCubeSweep(paperIterations, seed),
+		} {
+			for _, proto := range []core.Protocol{core.S3, core.S4} {
+				cfg, err := testbedConfig(spec.Testbed, spec.SourceCounts[len(spec.SourceCounts)-1],
+					spec.NTXSharing, proto, seed)
+				if err != nil {
+					return nil, err
+				}
+				err = tr.time("core.run_bootstrap", "setup", 0, func() error {
+					_, err := core.RunBootstrap(cfg)
+					return err
+				})
+				if err != nil {
+					return nil, fmt.Errorf("bootstrap %s %v seed %d: %w", spec.Name, proto, seed, err)
+				}
+				p.probes = append(p.probes, cfg)
 			}
-			err = tr.time("core.run_bootstrap", "setup", 0, func() error {
-				_, err := core.RunBootstrap(cfg)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bootstrap %s %v: %w", spec.Name, proto, err)
-			}
-			p.probes = append(p.probes, cfg)
 		}
 	}
 	return p, nil
 }
 
-func (p *paper) rep(r int, tr *tracer) (string, time.Duration, error) {
-	start := time.Now()
+// rep's parts are the panel calls, each timed on its own.
+func (p *paper) rep(r int, tr *tracer) (string, []time.Duration, error) {
 	tr.count("paper.traced_reps", 1)
 	var out bytes.Buffer
-	for k, seed := range p.seeds {
-		if err := p.panels(&out, k, seed, fmt.Sprintf("rep%d/seed%d", r, seed), tr); err != nil {
-			return "", 0, err
+	var parts []time.Duration
+	for _, seed := range p.seeds {
+		if err := p.panels(&out, &parts, seed, fmt.Sprintf("rep%d/seed%d", r, seed), tr); err != nil {
+			return "", nil, err
 		}
 	}
-	wall := time.Since(start)
 	sum := sha256.Sum256(out.Bytes())
 	digest := hex.EncodeToString(sum[:])
 	if want, ok := recordedDigests["paper"]; ok && p.e.seed == defaultSeed {
 		p.e.tally.check(digest == want, fmt.Sprintf("paper output digest %s, recorded %s", digest, want))
 	}
-	return digest, wall, nil
+	return digest, parts, nil
 }
 
-// panels runs the panel set once for seed, writing what the CLI prints.
-func (p *paper) panels(out *bytes.Buffer, k int, seed int64, trace string, tr *tracer) error {
+// panels runs the panel set once for seed, writing what the CLI prints
+// and appending each panel call's time to parts.
+func (p *paper) panels(out *bytes.Buffer, parts *[]time.Duration, seed int64, trace string, tr *tracer) error {
 	panel := func(name string, f func() error) error {
 		start := time.Now()
 		err := tr.time("experiment.panel."+name, trace, 0, f)
-		if tr == nil {
-			part := fmt.Sprintf("%s/%d", name, k)
-			p.parts[part] = append(p.parts[part], time.Since(start).Seconds())
-		}
+		*parts = append(*parts, time.Since(start))
 		p.e.tally.op(err)
 		return err
 	}
@@ -156,20 +159,9 @@ func (p *paper) layers(tr *tracer, m metrics) error {
 		m["experiment.panel."+name+".ms"] = sum(tr.durations("experiment.panel."+name, time.Millisecond)) /
 			tr.counter("paper.traced_reps")
 	}
-	return probeKernels(p.probes, p.e.seed, m)
+	return probeKernels(p.probes, p.e.seed, false, m)
 }
 
 func (p *paper) details() map[string]float64 { return nil }
-
-// partsWall is the panel set's time as the sum, over its panel calls, of
-// each call's median over the untraced repetitions: a burst of host noise
-// during one call of one repetition does not move it.
-func (p *paper) partsWall() float64 {
-	total := 0.0
-	for _, ts := range p.parts {
-		total += median(ts)
-	}
-	return total
-}
 
 func (p *paper) close() {}

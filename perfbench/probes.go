@@ -94,8 +94,10 @@ func testbedConfig(tb topology.Topology, sources, ntx int, proto core.Protocol, 
 }
 
 // probeKernels bootstraps every input, times the kernels on them, and adds
-// the per-layer figures (means over the inputs) to m.
-func probeKernels(cfgs []core.Config, seed int64, m metrics) error {
+// the per-layer figures (means over the inputs) to m. The lane kernels are
+// probed only for a workload that runs them (lanes); otherwise their
+// metrics read 0, as for any layer a workload does not use.
+func probeKernels(cfgs []core.Config, seed int64, lanes bool, m metrics) error {
 	acc := map[string][]float64{}
 	add := func(name string, v float64) { acc[name] = append(acc[name], v) }
 	for _, cfg := range cfgs {
@@ -105,7 +107,7 @@ func probeKernels(cfgs []core.Config, seed int64, m metrics) error {
 			return fmt.Errorf("bootstrap %s: %w", cfg.Topology.Name, err)
 		}
 		add("core.run_bootstrap.ms", float64(time.Since(t0))/float64(time.Millisecond))
-		if err := probeInput(boot, seed, add); err != nil {
+		if err := probeInput(boot, seed, lanes, add); err != nil {
 			return fmt.Errorf("%s %v: %w", cfg.Topology.Name, cfg.Protocol, err)
 		}
 	}
@@ -116,7 +118,7 @@ func probeKernels(cfgs []core.Config, seed int64, m metrics) error {
 }
 
 // probeInput times every kernel on one bootstrapped input.
-func probeInput(boot *core.Bootstrap, seed int64, add func(string, float64)) error {
+func probeInput(boot *core.Bootstrap, seed int64, lanes bool, add func(string, float64)) error {
 	cfg := boot.Config()
 	n := cfg.Topology.NumNodes()
 	add("probe.nodes", float64(n))
@@ -133,20 +135,22 @@ func probeInput(boot *core.Bootstrap, seed int64, add func(string, float64)) err
 	}
 	add("core.run_round.us", st.ns/1e3)
 	add("core.sharing_chain_len", float64(last.SharingChainLen))
-	st, err = probe(func(i int) error {
-		_, err := core.RunRoundLanes(boot, uint64(i*phy.MaxLanes), phy.MaxLanes)
-		return err
-	})
-	if err != nil {
-		return err
+	if lanes {
+		st, err = probe(func(i int) error {
+			_, err := core.RunRoundLanes(boot, uint64(i*phy.MaxLanes), phy.MaxLanes)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		add("core.run_round_lanes.us_per_trial", st.ns/1e3/phy.MaxLanes)
+		add("core.run_round_lanes.bytes_per_trial", st.bytes/phy.MaxLanes)
 	}
-	add("core.run_round_lanes.us_per_trial", st.ns/1e3/phy.MaxLanes)
-	add("core.run_round_lanes.bytes_per_trial", st.bytes/phy.MaxLanes)
 
 	if err := probeCrypto(cfg, seed, add); err != nil {
 		return err
 	}
-	if err := probeRadio(boot.Channel, add); err != nil {
+	if err := probeRadio(boot.Channel, lanes, add); err != nil {
 		return err
 	}
 	hcfg := hepda.Config{Topology: cfg.Topology, Sources: cfg.Sources, ChannelSeed: seed}
@@ -230,7 +234,7 @@ func probeCrypto(cfg core.Config, seed int64, add func(string, float64)) error {
 
 // probeRadio times the flood and chain kernels, scalar and 64-lane, and
 // the reception kernel under them, on the input's channel.
-func probeRadio(ch phy.Radio, add func(string, float64)) error {
+func probeRadio(ch phy.Radio, lanes bool, add func(string, float64)) error {
 	n := ch.NumNodes()
 	items := make([]minicast.Item, n)
 	for i := range items {
@@ -254,15 +258,17 @@ func probeRadio(ch phy.Radio, add func(string, float64)) error {
 		return err
 	}
 	add("minicast.run_arena.ns", st.ns)
-	st, err = probe(func(int) error {
-		arena.Reset()
-		_, err := minicast.RunLanes(mc, phy.MaxLanes, rngs, nil, &arena)
-		return err
-	})
-	if err != nil {
-		return err
+	if lanes {
+		st, err = probe(func(int) error {
+			arena.Reset()
+			_, err := minicast.RunLanes(mc, phy.MaxLanes, rngs, nil, &arena)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		add("minicast.run_lanes.ns_per_trial", st.ns/phy.MaxLanes)
 	}
-	add("minicast.run_lanes.ns_per_trial", st.ns/phy.MaxLanes)
 
 	var gres *glossy.Result
 	st, err = probe(func(int) error {
@@ -275,17 +281,19 @@ func probeRadio(ch phy.Radio, add func(string, float64)) error {
 		return err
 	}
 	add("glossy.run_arena.ns", st.ns)
-	var lres []*glossy.Result
-	st, err = probe(func(int) error {
-		arena.Reset()
-		var err error
-		lres, err = glossy.RunLanes(gc, phy.MaxLanes, rngs, nil, &arena, lres)
-		return err
-	})
-	if err != nil {
-		return err
+	if lanes {
+		var lres []*glossy.Result
+		st, err = probe(func(int) error {
+			arena.Reset()
+			var err error
+			lres, err = glossy.RunLanes(gc, phy.MaxLanes, rngs, nil, &arena, lres)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		add("glossy.run_lanes.ns_per_trial", st.ns/phy.MaxLanes)
 	}
-	add("glossy.run_lanes.ns_per_trial", st.ns/phy.MaxLanes)
 
 	table := ch.LinkTable()
 	txs := []int{1 % n, 2 % n, 5 % n, 9 % n}
@@ -297,12 +305,14 @@ func probeRadio(ch phy.Radio, add func(string, float64)) error {
 		return nil
 	})
 	add("phy.receive_fast.ns", st.ns)
-	txLanes := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
-	st, _ = probe(func(i int) error {
-		hits += table.ReceiveConcurrentMask(i%n, txs, txLanes, ^uint64(0), rngs)
-		return nil
-	})
-	add("phy.receive_mask.ns", st.ns)
+	if lanes {
+		txLanes := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+		st, _ = probe(func(i int) error {
+			hits += table.ReceiveConcurrentMask(i%n, txs, txLanes, ^uint64(0), rngs)
+			return nil
+		})
+		add("phy.receive_mask.ns", st.ns)
+	}
 	add("probe.receive_hits", float64(hits)) // keeps the calls observable
 	return nil
 }

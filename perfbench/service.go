@@ -151,8 +151,7 @@ type svcLoad struct {
 
 	mu     sync.Mutex
 	checks []pending
-	plain  jobStats // untraced repetitions
-	traced jobStats
+	plain  jobStats // untraced repetitions only
 	// Traced repetitions' cell counts from the job records, summed.
 	tReps, tComputed, tHits int
 }
@@ -201,10 +200,12 @@ func setupService(e *env, tr *tracer) (instance, error) {
 	return s, nil
 }
 
-func (s *svcLoad) rep(r int, tr *tracer) (string, time.Duration, error) {
+// rep's parts are what the service tier drives while the big job only
+// loads it: each small job of the closed loop, submit to last row, then
+// the resubmit.
+func (s *svcLoad) rep(r int, tr *tracer) (string, []time.Duration, error) {
 	s.tp.tr.Store(tr)
 	defer s.tp.tr.Store(nil)
-	start := time.Now()
 	big := bigMatrix(s.e.seed, r)
 	type bigOut struct {
 		run jobRun
@@ -216,6 +217,7 @@ func (s *svcLoad) rep(r int, tr *tracer) (string, time.Duration, error) {
 		bigc <- bigOut{run, err}
 	}()
 	var lat []float64
+	var parts []time.Duration
 	var ends []time.Time
 	var smallErr error
 	for i := 0; i < smallJobs; i++ {
@@ -227,13 +229,14 @@ func (s *svcLoad) rep(r int, tr *tracer) (string, time.Duration, error) {
 			break
 		}
 		lat = append(lat, float64(run.latency)/float64(time.Millisecond))
+		parts = append(parts, run.latency)
 		ends = append(ends, run.finished)
 		s.queueCheck(m, run.rows)
 	}
 	b := <-bigc
 	s.e.tally.op(b.err)
 	if err := errors.Join(smallErr, b.err); err != nil {
-		return "", 0, err
+		return "", nil, err
 	}
 	s.queueCheck(big, b.run.rows)
 	during := 0
@@ -242,35 +245,30 @@ func (s *svcLoad) rep(r int, tr *tracer) (string, time.Duration, error) {
 			during++
 		}
 	}
-	phase1 := time.Since(start)
 
 	res, err := s.client.runJob(tr, fmt.Sprintf("rep%d/resubmit", r), s.cheap)
 	s.e.tally.op(err)
 	if err != nil {
-		return "", 0, err
+		return "", nil, err
 	}
-	wall := phase1 + res.latency
 	s.e.tally.check(bytes.Equal(res.rows, s.cheapRows), "resubmitted cheap matrix stream differs from a local Runner run")
 	s.e.tally.check(res.job.Computed == 0, fmt.Sprintf("resubmit computed %d cells, want 0", res.job.Computed))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := &s.plain
-	if tr != nil {
-		st = &s.traced
-	}
-	st.small = append(st.small, lat...)
-	st.big = append(st.big, b.run.latency.Seconds())
-	st.resub = append(st.resub, res.latency.Seconds())
-	st.during = append(st.during, float64(during))
-	if tr != nil {
+	if tr == nil {
+		s.plain.small = append(s.plain.small, lat...)
+		s.plain.big = append(s.plain.big, b.run.latency.Seconds())
+		s.plain.resub = append(s.plain.resub, res.latency.Seconds())
+		s.plain.during = append(s.plain.during, float64(during))
+	} else {
 		for _, j := range []store.Job{b.run.job, res.job} {
 			s.tComputed += j.Computed
 			s.tHits += j.CacheHits
 		}
 		s.tReps++
 	}
-	return "", wall, nil
+	return "", append(parts, res.latency), nil
 }
 
 func (s *svcLoad) queueCheck(m experiment.Matrix, rows []byte) {
@@ -313,7 +311,7 @@ func (j jobStats) figures() map[string]float64 {
 }
 
 func (s *svcLoad) layers(tr *tracer, m metrics) error {
-	f := s.traced.figures()
+	f := s.plain.figures()
 	for _, k := range []string{"job_p50_ms", "job_p95_ms", "job_samples", "big_job_s", "resubmit_s", "small_jobs_during_big"} {
 		m["service."+k] = f[k]
 	}
@@ -341,7 +339,7 @@ func (s *svcLoad) layers(tr *tracer, m metrics) error {
 	if err := storeMetrics(s.srv.storeDir, m); err != nil {
 		return err
 	}
-	return probeKernels(s.probes, s.e.seed, m)
+	return probeKernels(s.probes, s.e.seed, true, m)
 }
 
 func (s *svcLoad) close() {

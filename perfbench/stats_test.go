@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -148,6 +150,68 @@ func TestCompareVerdicts(t *testing.T) {
 	if c.wins != 10 || c.pairs != 10 {
 		t.Errorf("pairs won %d/%d, want 10/10", c.wins, c.pairs)
 	}
+	// A faster set whose runs failed checks gets no speed verdict.
+	clean := outcome{attempted: 710}
+	for _, tc := range []struct {
+		name string
+		cur  outcome
+		want string
+	}{
+		{"clean", outcome{attempted: 700}, "better"},
+		{"more failed operations", outcome{attempted: 710, failed: 1}, "failed"},
+		{"a line with failed checks", outcome{attempted: 710, incorrect: 1}, "failed"},
+	} {
+		if got := gate(c.verdict, clean, tc.cur); got != tc.want {
+			t.Errorf("%s: verdict %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCompareReadsFailures runs the comparator's table over two result
+// sets on disk, the new one faster but with a failed digest check.
+func TestCompareReadsFailures(t *testing.T) {
+	line := func(correct bool, failed int, wall float64) string {
+		r := result{Correct: correct, Attempted: 71, Failed: failed,
+			Metrics: map[string]metricOut{"wall_s": {Value: wall, Unit: "s"}}}
+		raw, _ := json.Marshal(r)
+		return string(raw) + "\n"
+	}
+	write := func(lines ...string) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "paper.jsonl"), []byte(strings.Join(lines, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	oldDir := write(line(true, 0, 4.0), line(true, 0, 4.1), line(true, 0, 3.9))
+	newDir := write(line(true, 0, 2.0), line(false, 1, 2.1), line(true, 0, 1.9))
+	old, err := loadSet(oldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := loadSet(newDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := cur["paper"].outcome; o.attempted != 213 || o.failed != 1 || o.incorrect != 1 {
+		t.Fatalf("new outcome %+v, want 1 failed of 213 on 1 incorrect line", o)
+	}
+	bound := 0.25
+	spec := benchSpec{EndToEnd: []specMetric{{Name: "wall_s", Unit: "s", Better: "lower", Bound: &bound}}}
+	var out strings.Builder
+	if err := report(&out, spec, old, cur); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"0/213", "1/213"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("table lacks failed/attempted %q:\n%s", want, out.String())
+		}
+	}
+	for _, row := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+		if f := strings.Fields(row); f[len(f)-1] != "failed" {
+			t.Errorf("row %q: want verdict failed", row)
+		}
+	}
 }
 
 // TestSchemaMatchesBenchmarkJSON keeps the metric lists the benchmark
@@ -194,5 +258,21 @@ func TestRouteOf(t *testing.T) {
 		if r, j := routeOf(path); r != want[0] || j != want[1] {
 			t.Errorf("routeOf(%s) = %s, %s; want %s, %s", path, r, j, want[0], want[1])
 		}
+	}
+}
+
+// TestPartsWall checks wall_s as the sum of per-part medians: one
+// repetition's slow part does not move it.
+func TestPartsWall(t *testing.T) {
+	var parts [][]float64
+	for _, rep := range [][]time.Duration{
+		{1 * time.Second, 2 * time.Second},
+		{1 * time.Second, 9 * time.Second}, // a burst in part 2
+		{5 * time.Second, 2 * time.Second}, // a burst in part 1
+	} {
+		parts = addParts(parts, rep)
+	}
+	if got := partsWall(parts); !near(got, 3) {
+		t.Errorf("partsWall = %v, want 3", got)
 	}
 }

@@ -67,7 +67,7 @@ func setupSweep(e *env, tr *tracer) (instance, error) {
 	return s, nil
 }
 
-func (s *sweep) rep(r int, tr *tracer) (string, time.Duration, error) {
+func (s *sweep) rep(r int, tr *tracer) (string, []time.Duration, error) {
 	dir := filepath.Join(s.e.dir, fmt.Sprintf("cache%d", r))
 	defer os.RemoveAll(dir)
 	var out bytes.Buffer
@@ -95,7 +95,7 @@ func (s *sweep) rep(r int, tr *tracer) (string, time.Duration, error) {
 			_, err := s.matrix.Scenarios()
 			return err
 		}); err != nil {
-			return "", 0, err
+			return "", nil, err
 		}
 	}
 	opts = append(opts, experiment.WithSinks(sum))
@@ -104,7 +104,7 @@ func (s *sweep) rep(r int, tr *tracer) (string, time.Duration, error) {
 	wall := time.Since(start)
 	s.e.tally.op(err)
 	if err != nil {
-		return "", 0, err
+		return "", nil, err
 	}
 	s.rows = results
 	s.e.tally.check(len(results) == 18, fmt.Sprintf("sweep returned %d cells, want 18", len(results)))
@@ -113,7 +113,7 @@ func (s *sweep) rep(r int, tr *tracer) (string, time.Duration, error) {
 	if want, ok := recordedDigests["sweep"]; ok && s.e.seed == defaultSeed {
 		s.e.tally.check(digest == want, fmt.Sprintf("sweep JSONL digest %s, recorded %s", digest, want))
 	}
-	return digest, wall, nil
+	return digest, []time.Duration{wall}, nil
 }
 
 func (s *sweep) layers(tr *tracer, m metrics) error {
@@ -124,7 +124,7 @@ func (s *sweep) layers(tr *tracer, m metrics) error {
 	if err := probeCache(filepath.Join(s.e.dir, "cacheprobe"), s.rows, m); err != nil {
 		return err
 	}
-	return probeKernels(s.probes, s.e.seed, m)
+	return probeKernels(s.probes, s.e.seed, true, m)
 }
 
 func (s *sweep) details() map[string]float64 {
