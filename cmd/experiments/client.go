@@ -32,29 +32,22 @@ const pollInterval = 150 * time.Millisecond
 
 // apiError decodes the service's typed error envelope
 // {"error":{"code","field","message"}} into a readable "field: message"
-// error, falling back to the pre-v1 {"error": "..."} string shape so the
-// client still degrades gracefully against an old daemon.
+// error; any other body is reported verbatim.
 func apiError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	var envelope struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if json.Unmarshal(body, &envelope) == nil && len(envelope.Error) > 0 {
-		var typed struct {
+		Error struct {
 			Code    string `json:"code"`
 			Field   string `json:"field"`
 			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if json.Unmarshal(body, &envelope) == nil && envelope.Error.Message != "" {
+		typed := envelope.Error
+		if typed.Field != "" {
+			return fmt.Errorf("server: %s: %s (HTTP %d, %s)", typed.Field, typed.Message, resp.StatusCode, typed.Code)
 		}
-		if json.Unmarshal(envelope.Error, &typed) == nil && typed.Message != "" {
-			if typed.Field != "" {
-				return fmt.Errorf("server: %s: %s (HTTP %d, %s)", typed.Field, typed.Message, resp.StatusCode, typed.Code)
-			}
-			return fmt.Errorf("server: %s (HTTP %d, %s)", typed.Message, resp.StatusCode, typed.Code)
-		}
-		var legacy string
-		if json.Unmarshal(envelope.Error, &legacy) == nil && legacy != "" {
-			return fmt.Errorf("server: %s (HTTP %d)", legacy, resp.StatusCode)
-		}
+		return fmt.Errorf("server: %s (HTTP %d, %s)", typed.Message, resp.StatusCode, typed.Code)
 	}
 	return fmt.Errorf("server: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 }

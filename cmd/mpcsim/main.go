@@ -3,8 +3,9 @@
 //
 // The S3/S4 summary path runs as a single-cell sweep on the experiment
 // Runner, which is what gives it `-cache` (content-addressed result reuse),
-// `-progress`, and `-out csv|jsonl` for free; `-v` and `-trace` use a direct
-// loop that exposes per-iteration details the Runner's summaries fold away.
+// `-progress`, and `-out csv|jsonl` for free; `-v` and `-trace` keep the
+// bootstrap in hand and call the Runner's trial loop (experiment.RunTrials)
+// directly, to expose per-iteration details the Runner's summaries fold away.
 //
 // Examples:
 //
@@ -23,14 +24,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"iotmpc/internal/core"
 	"iotmpc/internal/experiment"
 	"iotmpc/internal/hepda"
 	"iotmpc/internal/metrics"
 	"iotmpc/internal/phy"
-	"iotmpc/internal/sim"
 	"iotmpc/internal/topology"
 	"iotmpc/internal/trace"
 )
@@ -263,83 +262,39 @@ func runDirect(testbed topology.Topology, backend phy.Factory, proto core.Protoc
 		fmt.Printf("destination set (|D|=%d): %v\n", len(boot.Dests), boot.Dests)
 	}
 
-	// Trials are independent (per-trial RNG streams, immutable bootstrap), so
-	// they fan across the worker pool; the fold only needs four scalars per
-	// trial, kept at the trial's index and folded in trial order so the
-	// output is identical for any -workers (and memory stays O(iters), not
-	// O(iters × nodes)).
-	type trialStats struct {
-		meanLatency time.Duration
-		meanRadioOn time.Duration
-		correct     int
-		nodes       int
-	}
-	rounds := make([]trialStats, iters)
-	var firstTrace *trace.Recorder
 	if dumpTrace && iters > 0 {
-		firstTrace = &trace.Recorder{}
-	}
-	err = sim.ParallelFor(iters, workers, func(trial int) error {
-		var rec *trace.Recorder
-		if trial == 0 {
-			rec = firstTrace
+		rec := &trace.Recorder{}
+		if _, err := core.RunRoundTraced(boot, 0, nil, rec); err != nil {
+			return err
 		}
-		res, err := core.RunRoundTraced(boot, uint64(trial), nil, rec)
+		raw, err := rec.JSON()
 		if err != nil {
 			return err
 		}
-		rounds[trial] = trialStats{
-			meanLatency: res.MeanLatency,
-			meanRadioOn: res.MeanRadioOn,
-			correct:     res.CorrectNodes,
-			nodes:       len(res.NodeOK),
-		}
-		return nil
-	})
+		fmt.Printf("trace (%s):\n%s\n", rec.Summary(), raw)
+	}
+
+	// The same trial loop and fold as the Runner path, so -v and the default
+	// path report the same statistics for the same trials.
+	var fold experiment.TrialFold
+	_, err = experiment.RunTrials(boot, iters, workers, experiment.DefaultLaneCount,
+		func(trial int, t experiment.Trial) {
+			fold.Add(trial, t)
+			if verbose {
+				fmt.Printf("  iter %3d: latency=%v radio-on=%v correct=%d/%d\n",
+					trial, t.MeanLatency, t.MeanRadioOn, t.CorrectNodes, n)
+			}
+		})
 	if err != nil {
 		return err
 	}
-	if firstTrace != nil {
-		raw, err := firstTrace.JSON()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("trace (%s):\n%s\n", firstTrace.Summary(), raw)
-	}
-
-	// Fold exactly like the Runner path (experiment.runScenario): latency
-	// over successful rounds only, radio-on over all rounds — so -v and the
-	// default path report the same statistics for the same trials.
-	var lat, radio metrics.Stream
-	okNodes, totalNodes, failedRounds := 0, 0, 0
-	for trial, res := range rounds {
-		if res.correct > 0 {
-			lat.AddDuration(res.meanLatency)
-		} else {
-			failedRounds++
-		}
-		radio.AddDuration(res.meanRadioOn)
-		okNodes += res.correct
-		totalNodes += res.nodes
-		if verbose {
-			fmt.Printf("  iter %3d: latency=%v radio-on=%v correct=%d/%d\n",
-				trial, res.meanLatency, res.meanRadioOn, res.correct, n)
-		}
-	}
-
-	var latSum metrics.Summary
-	if lat.Len() > 0 {
-		if latSum, err = lat.Summarize(); err != nil {
-			return err
-		}
-	}
-	radioSum, err := radio.Summarize()
+	latSum, radioSum, err := fold.Summaries()
 	if err != nil {
 		return err
 	}
 	printSummary(latSum, radioSum)
 	fmt.Printf("success: %.2f%% of node-rounds obtained the correct aggregate (%d/%d rounds failed outright)\n",
-		100*float64(okNodes)/float64(totalNodes), failedRounds, iters)
+		100*fold.SuccessRate(), fold.FailedRounds, iters)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -151,6 +152,66 @@ func TestRunProfilingFlags(t *testing.T) {
 		}
 		if info.Size() == 0 {
 			t.Fatalf("profile %s is empty", path)
+		}
+	}
+}
+
+// captureRun runs the CLI with args and returns what it printed on stdout.
+func captureRun(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		raw, _ := io.ReadAll(r)
+		done <- string(raw)
+	}()
+	runErr := run(args)
+	os.Stdout = stdout
+	w.Close()
+	out := <-done
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("run %v: %v", args, runErr)
+	}
+	return out
+}
+
+// summaryLines keeps the latency, radio-on and success lines of a report.
+func summaryLines(out string) []string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		for _, prefix := range []string{"latency  (ms):", "radio-on (ms):", "success:"} {
+			if strings.HasPrefix(line, prefix) {
+				keep = append(keep, line)
+			}
+		}
+	}
+	return keep
+}
+
+// TestVerboseMatchesRunnerSummary pins that -v reports the same statistics
+// as the default Runner path for the same flags, at any worker count.
+func TestVerboseMatchesRunnerSummary(t *testing.T) {
+	base := []string{"-testbed", "grid", "-protocol", "s4", "-sources", "8",
+		"-degree", "3", "-iters", "5", "-loss", "0.3"}
+	for _, workers := range []string{"1", "2"} {
+		args := append(append([]string{}, base...), "-workers", workers)
+		want := summaryLines(captureRun(t, args...))
+		if len(want) != 3 {
+			t.Fatalf("-workers %s: runner path printed %d summary lines, want 3", workers, len(want))
+		}
+		verbose := captureRun(t, append(args, "-v")...)
+		if got := summaryLines(verbose); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("-workers %s: -v summary\n%s\nwant the runner's\n%s",
+				workers, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		if iters := strings.Count(verbose, "  iter "); iters != 5 {
+			t.Errorf("-workers %s: -v printed %d iteration lines, want 5", workers, iters)
 		}
 	}
 }

@@ -37,8 +37,7 @@
 //
 //	curl -d '{"nodeCounts":[15,25],"iterations":50,"seed":1}' localhost:8080/v1/jobs
 //
-// The pre-v1 unversioned paths (/jobs, /healthz, ...) remain as deprecated
-// aliases for one release.
+// Only the /v1 paths are served; the unversioned pre-v1 paths answer 404.
 package main
 
 import (

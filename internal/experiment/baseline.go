@@ -57,20 +57,19 @@ func BaselineComparison(iterations int, seed int64) ([]BaselineRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		// SSS compute is microseconds; charge is radio-dominated.
+		cpu := boot.Config().CPU.Interpolation(boot.Config().Degree + 1)
 		var lat, radio metrics.Stream
 		var cpuSum, chargeSum float64
-		for trial := 0; trial < iterations; trial++ {
-			res, err := core.RunRound(boot, uint64(trial))
-			if err != nil {
-				return nil, err
-			}
-			lat.AddDuration(res.MeanLatency)
-			radio.AddDuration(res.MeanRadioOn)
-			// SSS compute is microseconds; charge is radio-dominated.
-			cpu := boot.Config().CPU.Interpolation(boot.Config().Degree + 1)
+		_, err = RunTrials(boot, iterations, 1, DefaultLaneCount, func(_ int, t Trial) {
+			lat.AddDuration(t.MeanLatency)
+			radio.AddDuration(t.MeanRadioOn)
 			cpuSum += cpu.Seconds() * 1e3
-			chargeSum += params.ChargeMicroCoulombs(0, res.MeanRadioOn)/1e3 +
+			chargeSum += params.ChargeMicroCoulombs(0, t.MeanRadioOn)/1e3 +
 				mcuCurrentMA*cpu.Seconds()
+		})
+		if err != nil {
+			return nil, err
 		}
 		row, err := summarizeBaseline(proto.String(), &lat, &radio,
 			cpuSum/float64(iterations), chargeSum/float64(iterations))

@@ -159,39 +159,26 @@ func runPoint(spec SweepSpec, proto core.Protocol, sources []int) (Point, error)
 	if err != nil {
 		return Point{}, err
 	}
-	var lat, radio metrics.Stream
-	okNodes, totalNodes := 0, 0
-	var ntxUsed, chainLen int
-	for trial := 0; trial < spec.Iterations; trial++ {
-		res, err := core.RunRound(boot, uint64(trial))
-		if err != nil {
-			return Point{}, err
-		}
-		if res.CorrectNodes > 0 {
-			lat.AddDuration(res.MeanLatency)
-		}
-		radio.AddDuration(res.MeanRadioOn)
-		okNodes += res.CorrectNodes
-		totalNodes += len(res.NodeOK)
-		ntxUsed = res.NTXUsed
-		chainLen = res.SharingChainLen
-	}
-	latSum, err := lat.Summarize()
+	var fold TrialFold
+	chain, err := RunTrials(boot, spec.Iterations, 1, DefaultLaneCount, fold.Add)
 	if err != nil {
-		return Point{}, fmt.Errorf("latency summary: %w", err)
+		return Point{}, err
 	}
-	radioSum, err := radio.Summarize()
+	if fold.Latency.Len() == 0 {
+		return Point{}, fmt.Errorf("latency summary: %w", metrics.ErrNoSamples)
+	}
+	latSum, radioSum, err := fold.Summaries()
 	if err != nil {
-		return Point{}, fmt.Errorf("radio summary: %w", err)
+		return Point{}, err
 	}
 	return Point{
 		Sources:      len(sources),
 		Protocol:     proto.String(),
 		LatencyMS:    latSum,
 		RadioOnMS:    radioSum,
-		SuccessRate:  float64(okNodes) / float64(totalNodes),
-		NTXUsed:      ntxUsed,
-		SharingChain: chainLen,
+		SuccessRate:  fold.SuccessRate(),
+		NTXUsed:      chain.NTX,
+		SharingChain: chain.SharingLen,
 	}, nil
 }
 

@@ -56,13 +56,12 @@ func ScalabilitySweep(sizes []int, iterations int, seed int64) ([]ScalabilityPoi
 				return nil, fmt.Errorf("n=%d %v: %w", n, proto, err)
 			}
 			var latSum, radioSum float64
-			for trial := 0; trial < iterations; trial++ {
-				res, err := core.RunRound(boot, uint64(trial))
-				if err != nil {
-					return nil, err
-				}
-				latSum += res.MeanLatency.Seconds() * 1e3
-				radioSum += res.MeanRadioOn.Seconds() * 1e3
+			_, err = RunTrials(boot, iterations, 1, DefaultLaneCount, func(_ int, t Trial) {
+				latSum += t.MeanLatency.Seconds() * 1e3
+				radioSum += t.MeanRadioOn.Seconds() * 1e3
+			})
+			if err != nil {
+				return nil, err
 			}
 			lat[pi] = latSum / float64(iterations)
 			radio[pi] = radioSum / float64(iterations)

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"iotmpc/internal/core"
 	"iotmpc/internal/metrics"
@@ -489,22 +488,13 @@ func scenarioRoles(sc Scenario, n int) (failed []bool, sources []int, err error)
 	return failed, sources, nil
 }
 
-// trialBlock is how many Monte-Carlo trials are dispatched per fan-out batch
-// when trial-level parallelism is on: large enough to amortize pool
-// overhead, small enough to keep the per-scenario stats buffer trivial.
-const trialBlock = 256
-
 // runScenario is RunScenario with the backend factory already resolved (so
 // matrix sweeps resolve each distinct spec — and parse each trace file —
 // once instead of once per cell), an explicit trial-level worker count, and a
-// lane count for bit-sliced trial batching. Trials are independent given the
-// immutable bootstrap, so blocks of them fan across trialWorkers; per-trial
-// stats land at their trial's index and fold into the streams in trial order,
-// which keeps the result bit-identical to a sequential run for any worker
-// count. laneCount > 1 dispatches trials in core.RunRoundLanes batches of
-// that width; lane execution is bit-identical to scalar execution for every
-// lane partition, so laneCount is a pure throughput knob — it never changes
-// results or cache keys.
+// lane count for bit-sliced trial batching. The trials run through
+// RunTrials and fold in trial order, so the result is identical for any
+// worker count and lane width: both are pure throughput knobs that never
+// change results or cache keys.
 func runScenario(sc Scenario, backend phy.Factory, trialWorkers, laneCount int) (ScenarioResult, error) {
 	if sc.Iterations <= 0 {
 		return ScenarioResult{}, fmt.Errorf("%w: iterations %d", ErrBadSpec, sc.Iterations)
@@ -541,104 +531,20 @@ func runScenario(sc Scenario, backend phy.Factory, trialWorkers, laneCount int) 
 			sc.Index, sc.Nodes, sc.Protocol, sc.LossRate, err)
 	}
 
-	type trialStats struct {
-		meanLatency time.Duration
-		meanRadioOn time.Duration
-		correct     int
-		nodes       int
-	}
-	var lat, radio metrics.Stream
-	okNodes, totalNodes, failedRounds := 0, 0, 0
-	// Chain geometry is a function of (bootstrap, sources), not of the
-	// trial, so trial 0's values describe the whole scenario. Written by
-	// exactly one worker (the one that draws trial 0), read after the pool
-	// joins.
-	chainLen, chainPayload := 0, 0
-	if laneCount < 1 {
-		laneCount = 1
-	} else if laneCount > phy.MaxLanes {
-		laneCount = phy.MaxLanes
-	}
-	land := func(i int, res *core.RoundResult, block []trialStats) {
-		if i == 0 {
-			chainLen = res.SharingChainLen
-			chainPayload = res.SharePayloadBytes
-		}
-		block[i%trialBlock] = trialStats{
-			meanLatency: res.MeanLatency,
-			meanRadioOn: res.MeanRadioOn,
-			correct:     res.CorrectNodes,
-			nodes:       len(res.NodeOK),
-		}
-	}
-	block := make([]trialStats, trialBlock)
-	for base := 0; base < sc.Iterations; base += trialBlock {
-		count := sc.Iterations - base
-		if count > trialBlock {
-			count = trialBlock
-		}
-		var err error
-		if laneCount == 1 {
-			err = sim.ParallelFor(count, trialWorkers, func(i int) error {
-				res, err := core.RunRound(boot, uint64(base+i))
-				if err != nil {
-					return err
-				}
-				land(base+i, res, block)
-				return nil
-			})
-		} else {
-			// Bit-sliced dispatch: each work unit is one lane batch of up to
-			// laneCount consecutive trials. Lane results are bit-identical to
-			// scalar trials, so the stats land at the same indices with the
-			// same values for any lane width.
-			groups := (count + laneCount - 1) / laneCount
-			err = sim.ParallelFor(groups, trialWorkers, func(g int) error {
-				lo := g * laneCount
-				size := count - lo
-				if size > laneCount {
-					size = laneCount
-				}
-				results, err := core.RunRoundLanes(boot, uint64(base+lo), size)
-				if err != nil {
-					return err
-				}
-				for i, res := range results {
-					land(base+lo+i, res, block)
-				}
-				return nil
-			})
-		}
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		// Fold in trial order: the streams' contents are then independent of
-		// the worker count and identical to a sequential run.
-		for i := 0; i < count; i++ {
-			if block[i].correct > 0 {
-				lat.AddDuration(block[i].meanLatency)
-			} else {
-				failedRounds++
-			}
-			radio.AddDuration(block[i].meanRadioOn)
-			okNodes += block[i].correct
-			totalNodes += block[i].nodes
-		}
+	var fold TrialFold
+	chain, err := RunTrials(boot, sc.Iterations, trialWorkers, laneCount, fold.Add)
+	if err != nil {
+		return ScenarioResult{}, err
 	}
 	out := ScenarioResult{
 		Scenario:        sc,
-		SuccessRate:     float64(okNodes) / float64(totalNodes),
-		FailedRounds:    failedRounds,
-		SharingChainLen: chainLen,
-		ShareAirBytes:   chainLen * chainPayload,
+		SuccessRate:     fold.SuccessRate(),
+		FailedRounds:    fold.FailedRounds,
+		SharingChainLen: chain.SharingLen,
+		ShareAirBytes:   chain.SharingLen * chain.PayloadBytes,
 	}
-	if lat.Len() > 0 {
-		if out.LatencyMS, err = lat.Summarize(); err != nil {
-			return ScenarioResult{}, fmt.Errorf("latency summary: %w", err)
-		}
-	}
-	if out.RadioOnMS, err = radio.Summarize(); err != nil {
-		return ScenarioResult{}, fmt.Errorf("radio summary: %w", err)
+	if out.LatencyMS, out.RadioOnMS, err = fold.Summaries(); err != nil {
+		return ScenarioResult{}, err
 	}
 	return out, nil
 }

@@ -308,82 +308,66 @@ func TestListJobsFilterAndPagination(t *testing.T) {
 }
 
 // TestErrorEnvelopeShape pins the typed error contract: code + field +
-// message for a validation reject, on both the v1 path and the legacy alias.
+// message for a validation reject.
 func TestErrorEnvelopeShape(t *testing.T) {
 	f := newFixture(t, t.TempDir(), t.TempDir(), false)
-	for _, path := range []string{"/v1/jobs", "/jobs"} {
-		resp, err := http.Post(f.ts.URL+path, "application/json",
-			strings.NewReader(`{"nodeCounts":[2],"iterations":1}`))
+	post := func(spec string) (int, errorBody) {
+		resp, err := http.Post(f.ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
 		var body errorBody
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		if body.Error.Code != codeInvalidArgument || body.Error.Field != "nodeCounts" || body.Error.Message == "" {
-			t.Fatalf("%s: envelope %+v", path, body)
-		}
+		return resp.StatusCode, body
+	}
+	status, body := post(`{"nodeCounts":[2],"iterations":1}`)
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d", status)
+	}
+	if body.Error.Code != codeInvalidArgument || body.Error.Field != "nodeCounts" || body.Error.Message == "" {
+		t.Fatalf("envelope %+v", body)
 	}
 	// Unknown-field rejects name the typoed field.
-	resp, err := http.Post(f.ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"nodeCount":[8],"iterations":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body errorBody
-	json.NewDecoder(resp.Body).Decode(&body)
-	resp.Body.Close()
-	if body.Error.Field != "nodeCount" {
+	if _, body := post(`{"nodeCount":[8],"iterations":1}`); body.Error.Field != "nodeCount" {
 		t.Fatalf("unknown-field envelope: %+v", body)
 	}
 }
 
-// TestLegacyAliasesDeprecated: the unversioned paths still work but carry
-// the Deprecation header; the v1 paths do not.
-func TestLegacyAliasesDeprecated(t *testing.T) {
+// TestUnversionedPathsGone: only the /v1 surface is served. The old
+// unversioned paths answer 404, and v1 replies carry no Deprecation header.
+func TestUnversionedPathsGone(t *testing.T) {
 	f := newFixture(t, t.TempDir(), t.TempDir(), true)
 	job := f.waitDone(t, f.submit(t, testMatrix()).ID)
 	for _, tc := range []struct {
-		path       string
-		deprecated bool
+		method, path string
+		status       int
 	}{
-		{"/healthz", true},
-		{"/jobs/" + job.ID, true},
-		{"/jobs/" + job.ID + "/results", true},
-		{"/v1/healthz", false},
-		{"/v1/jobs/" + job.ID, false},
-		{"/v1/jobs/" + job.ID + "/results", false},
+		{http.MethodPost, "/jobs", http.StatusNotFound},
+		{http.MethodGet, "/jobs/" + job.ID, http.StatusNotFound},
+		{http.MethodGet, "/jobs/" + job.ID + "/results", http.StatusNotFound},
+		{http.MethodGet, "/healthz", http.StatusNotFound},
+		{http.MethodGet, "/v1/healthz", http.StatusOK},
+		{http.MethodGet, "/v1/jobs/" + job.ID, http.StatusOK},
+		{http.MethodGet, "/v1/jobs/" + job.ID + "/results", http.StatusOK},
 	} {
-		resp, err := http.Get(f.ts.URL + tc.path)
+		req, err := http.NewRequest(tc.method, f.ts.URL+tc.path, strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: status %d", tc.path, resp.StatusCode)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.status)
 		}
-		if got := resp.Header.Get("Deprecation") == "true"; got != tc.deprecated {
-			t.Errorf("%s: Deprecation header %v, want %v", tc.path, got, tc.deprecated)
+		if dep := resp.Header.Get("Deprecation"); dep != "" {
+			t.Errorf("%s %s: Deprecation header %q", tc.method, tc.path, dep)
 		}
-	}
-	// Legacy and v1 streams are the same bytes.
-	legacyGet := func(p string) []byte {
-		resp, err := http.Get(f.ts.URL + p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return raw
-	}
-	if !bytes.Equal(legacyGet("/jobs/"+job.ID+"/results"), legacyGet("/v1/jobs/"+job.ID+"/results")) {
-		t.Error("legacy and v1 result streams differ")
 	}
 }
