@@ -6,6 +6,7 @@ import (
 
 	"iotmpc/internal/minicast"
 	"iotmpc/internal/phy"
+	"iotmpc/internal/seckey"
 	"iotmpc/internal/sim"
 )
 
@@ -37,6 +38,15 @@ type Bootstrap struct {
 	Diameter int
 
 	cfg Config
+	// shareDests are the nodes every source seals a share vector for: all
+	// nodes for S3, Dests for S4.
+	shareDests []int
+	// sealers holds the expanded pairwise key of every (source, share
+	// destination) pair, indexed src*n+dst; both directions of a pair share
+	// one Sealer. It is built once here and only read afterwards, so every
+	// trial, lane and trial worker of the bootstrap shares it, and it is
+	// freed with the bootstrap.
+	sealers []*seckey.Sealer
 }
 
 // Probing constants. More probes sharpen the estimates at bootstrap cost;
@@ -75,7 +85,43 @@ func RunBootstrap(cfg Config) (*Bootstrap, error) {
 			return nil, err
 		}
 	}
+	if err := b.expandKeys(); err != nil {
+		return nil, err
+	}
 	return b, nil
+}
+
+// expandKeys fixes the share destinations and expands the pairwise key of
+// every (source, destination) pair a round seals for: the secure channels
+// the paper assumes are "established during the bootstrapping phase".
+func (b *Bootstrap) expandKeys() error {
+	n := b.Channel.NumNodes()
+	b.shareDests = b.Dests
+	if b.cfg.Protocol == S3 {
+		b.shareDests = make([]int, n)
+		for i := range b.shareDests {
+			b.shareDests[i] = i
+		}
+	}
+	keys := seckey.NewStore(seckey.MasterFromSeed(b.cfg.MasterSeed))
+	b.sealers = make([]*seckey.Sealer, n*n)
+	for _, src := range b.cfg.Sources {
+		for _, dst := range b.shareDests {
+			if dst == src {
+				continue
+			}
+			s := b.sealers[dst*n+src] // the reverse direction, if expanded
+			if s == nil {
+				key, err := keys.PairKey(src, dst)
+				if err != nil {
+					return err
+				}
+				s = seckey.NewSealer(key)
+			}
+			b.sealers[src*n+dst] = s
+		}
+	}
+	return nil
 }
 
 // Config returns the normalized configuration the bootstrap was run for.

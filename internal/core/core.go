@@ -215,11 +215,6 @@ func (c Config) normalized() (Config, error) {
 	return c, nil
 }
 
-// keyStore commissions the network's key material.
-func (c Config) keyStore() *seckey.Store {
-	return seckey.NewStore(seckey.MasterFromSeed(c.MasterSeed))
-}
-
 // buildRadio constructs the configured radio backend over the topology.
 func (c Config) buildRadio() (phy.Radio, error) {
 	r, err := phy.Build(c.Backend, c.PHY, c.Topology.Positions, c.ChannelSeed)

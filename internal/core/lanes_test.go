@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"iotmpc/internal/phy"
@@ -94,6 +95,42 @@ func TestRunRoundLanesFullWidth(t *testing.T) {
 		}
 		if !reflect.DeepEqual(lanes[l], want) {
 			t.Errorf("lane %d diverges from scalar round", l)
+		}
+	}
+}
+
+// TestRunRoundLanesSharedBootstrapConcurrent runs one bootstrap's lane
+// rounds from several goroutines at once, as a cell's trial workers do.
+// They all seal and open through the bootstrap's one table of expanded
+// pairwise keys, so the results must equal a sequential run of the same
+// batches (and the race detector must stay quiet).
+func TestRunRoundLanesSharedBootstrapConcurrent(t *testing.T) {
+	const workers, lanes = 4, 16
+	be := laneBackends(t)[2] // trace backend: 10 nodes
+	for _, proto := range []Protocol{S3, S4} {
+		boot := bootFor(t, be.cfg(proto))
+		got := make([][]*RoundResult, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				got[w], errs[w] = RunRoundLanes(boot, uint64(w*lanes), lanes)
+			}(w)
+		}
+		wg.Wait()
+		for w := 0; w < workers; w++ {
+			if errs[w] != nil {
+				t.Fatalf("%v worker %d: %v", proto, w, errs[w])
+			}
+			want, err := RunRoundLanes(boot, uint64(w*lanes), lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[w], want) {
+				t.Errorf("%v worker %d: concurrent batch diverges from sequential run", proto, w)
+			}
 		}
 	}
 }

@@ -33,46 +33,30 @@ func dbl(in [aes.BlockSize]byte) [aes.BlockSize]byte {
 	return out
 }
 
-// cmac computes the full 16-byte AES-CMAC of msg under key.
-func cmac(key Key, msg []byte) ([aes.BlockSize]byte, error) {
-	var mac [aes.BlockSize]byte
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return mac, err
-	}
-	k1, k2 := cmacSubkeys(block)
-
+// cmacFinish completes an AES-CMAC and leaves the full 16-byte tag in x.
+// x holds the CBC chaining value after the message's earlier whole blocks
+// (all zero when msg is the whole message) and msg is the rest, which must
+// be non-empty unless nothing came before it. Chaining from x is what lets
+// a caller feed a leading block (the packet nonce) without concatenating it
+// to msg.
+func (s *Sealer) cmacFinish(x, msg []byte) {
 	n := len(msg) / aes.BlockSize
-	rem := len(msg) % aes.BlockSize
-	full := rem == 0 && len(msg) > 0
-
-	var last [aes.BlockSize]byte
-	if full {
-		copy(last[:], msg[len(msg)-aes.BlockSize:])
-		for i := range last {
-			last[i] ^= k1[i]
-		}
-		n--
-	} else {
-		copy(last[:], msg[n*aes.BlockSize:])
-		last[rem] = 0x80
-		for i := range last {
-			last[i] ^= k2[i]
-		}
+	if n > 0 && len(msg)%aes.BlockSize == 0 {
+		n-- // a whole last block is masked with K1 below, not chained here
 	}
-
-	var x [aes.BlockSize]byte
 	for i := 0; i < n; i++ {
-		for j := 0; j < aes.BlockSize; j++ {
-			x[j] ^= msg[i*aes.BlockSize+j]
-		}
-		block.Encrypt(x[:], x[:])
+		subtle.XORBytes(x, x, msg[i*aes.BlockSize:(i+1)*aes.BlockSize])
+		s.block.Encrypt(x, x)
 	}
-	for j := 0; j < aes.BlockSize; j++ {
-		x[j] ^= last[j]
+	last := msg[n*aes.BlockSize:]
+	subtle.XORBytes(x, x, last)
+	if len(last) == aes.BlockSize {
+		subtle.XORBytes(x, x, s.k1[:])
+	} else {
+		x[len(last)] ^= 0x80 // 10* padding
+		subtle.XORBytes(x, x, s.k2[:])
 	}
-	block.Encrypt(mac[:], x[:])
-	return mac, nil
+	s.block.Encrypt(x, x)
 }
 
 // tagEqual compares MAC tags in constant time.

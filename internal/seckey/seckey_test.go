@@ -89,6 +89,9 @@ func TestCMACRFC4493Vectors(t *testing.T) {
 	msg16, _ := hex.DecodeString("6bc1bee22e409f96e93d7e117393172a")
 	msg40, _ := hex.DecodeString("6bc1bee22e409f96e93d7e117393172a" +
 		"ae2d8a571e03ac9c9eb76fac45af8e51" + "30c81c46a35ce411")
+	msg64, _ := hex.DecodeString("6bc1bee22e409f96e93d7e117393172a" +
+		"ae2d8a571e03ac9c9eb76fac45af8e51" + "30c81c46a35ce411e5fbc1191a0a52ef" +
+		"f69f2445df4f9b17ad2b417be66c3710")
 
 	tests := []struct {
 		name string
@@ -98,13 +101,14 @@ func TestCMACRFC4493Vectors(t *testing.T) {
 		{"empty", nil, "bb1d6929e95937287fa37d129b756746"},
 		{"16 bytes", msg16, "070a16b46b4d4144f79bdd9dd04a287c"},
 		{"40 bytes", msg40, "dfa66747de9ae63030ca32611497c827"},
+		{"64 bytes", msg64, "51f0bebf7e3b9d92fc49741779363cfe"},
 	}
+	s := NewSealer(key)
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := cmac(key, tt.msg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The packet MIC's own CMAC code, over a whole message.
+			var got [aes.BlockSize]byte
+			s.cmacFinish(got[:], tt.msg)
 			want, _ := hex.DecodeString(tt.want)
 			if !bytes.Equal(got[:], want) {
 				t.Errorf("cmac = %x, want %s", got, tt.want)
@@ -244,6 +248,31 @@ func TestSealOpenVectorRoundtrip(t *testing.T) {
 				t.Errorf("L=%d: value %d = %v, want %v", l, i, got[i], values[i])
 			}
 		}
+	}
+}
+
+// TestSealerAllocs gates the per-packet heap cost of an expanded key: the
+// output (the packet, or the opened values) and one scratch buffer for the
+// cipher's blocks, and nothing per AES block or per key schedule.
+func TestSealerAllocs(t *testing.T) {
+	s := NewSealer(katKey(t))
+	values := katValues(1)
+	sealed, err := s.SealVector(katContext, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := testing.AllocsPerRun(100, func() {
+		if _, err := s.SealVector(katContext, values); err != nil {
+			t.Fatal(err)
+		}
+	})
+	open := testing.AllocsPerRun(100, func() {
+		if _, err := s.OpenVector(katContext, 1, sealed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if seal > 2 || open > 2 {
+		t.Errorf("L=1 allocs: seal %v, open %v; want at most 2 each", seal, open)
 	}
 }
 
