@@ -56,39 +56,34 @@ func (t *LinkTable) ReceiveConcurrentMask(rx int, txs []int, txLanes []uint64, a
 	switch t.mode {
 	case tableLogDistance:
 		// Every eligible lane draws (beating only at >= 2 transmitters,
-		// then fading, then the sigmoid), so the lanes are walked one by
-		// one; the transmitter scan per lane mirrors the scalar loop.
+		// then fading, then the reception decision), so the lanes are
+		// walked one by one. One pass over the candidates first gathers
+		// each lane's transmitter count and best mean RSSI by visiting only
+		// the set bits of txLanes[i] & elig; a max and a count do not
+		// depend on visit order, so each lane sees the scalar loop's
+		// values. The scratch is fixed-size and stays on the stack.
 		rssiRow := t.rssi[rx*n : (rx+1)*n]
-		for need := elig; need != 0; {
+		var best [MaxLanes]float64
+		var count [MaxLanes]int32
+		for m := elig; m != 0; m &= m - 1 {
+			best[bits.TrailingZeros64(m)] = math.Inf(-1)
+		}
+		for i, tx := range txs {
+			// rx itself cannot carry an eligible bit: self lanes are not
+			// eligible.
+			r := rssiRow[tx]
+			for m := txLanes[i] & elig; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros64(m)
+				count[l]++
+				if r > best[l] {
+					best[l] = r
+				}
+			}
+		}
+		for need := elig; need != 0; need &= need - 1 {
 			l := bits.TrailingZeros64(need)
-			bit := uint64(1) << l
-			need &^= bit
-			rng := rngs[l]
-			count := 0
-			best := math.Inf(-1)
-			for i := range txs {
-				// rx itself cannot carry this bit: self lanes are not
-				// eligible.
-				if txLanes[i]&bit == 0 {
-					continue
-				}
-				count++
-				if r := rssiRow[txs[i]]; r > best {
-					best = r
-				}
-			}
-			if count >= 2 && rng.Float64() < t.ctBeatingLoss {
-				continue // beating corrupted the superposition
-			}
-			var log2Count float64
-			if count < len(t.log2) {
-				log2Count = t.log2[count]
-			} else { // defensive: a caller-supplied list with duplicates
-				log2Count = math.Log2(float64(count))
-			}
-			faded := best + rng.NormFloat64()*t.fadingSigmaDB + t.ctGainDB*log2Count
-			if rng.Float64() < t.prrFromRSSI(faded) {
-				out |= bit
+			if t.logDistanceDraw(best[l], int(count[l]), rngs[l]) {
+				out |= uint64(1) << l
 			}
 		}
 	case tableBestPRR:

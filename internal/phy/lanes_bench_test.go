@@ -16,7 +16,8 @@ import (
 // Lanes64 at >= 4x over Scalar on the unit-disk tables, where certain links
 // let lane masks replace per-trial draws outright. The logdist and trace
 // variants ride along ungated: logdist draws per lane by construction, so
-// its ratio hovers near 1x and documents the kernel's worst case.
+// its rows (on both testbeds) measure the one-pass transmitter scan and the
+// bracketed reception decision rather than bitset algebra.
 
 func benchLaneTable(b *testing.B, kind string, tb topology.Topology) *phy.LinkTable {
 	b.Helper()
@@ -93,7 +94,7 @@ func BenchmarkBitsliceScalarDCube(b *testing.B)  { benchMask(b, "unitdisk", topo
 func BenchmarkBitsliceLanes8DCube(b *testing.B)  { benchMask(b, "unitdisk", topology.DCube(), 8) }
 func BenchmarkBitsliceLanes64DCube(b *testing.B) { benchMask(b, "unitdisk", topology.DCube(), 64) }
 
-// Ungated worst/typical-case variants.
+// Ungated variants: per-lane draws (logdist) and union products (trace).
 
 func BenchmarkBitsliceScalarLogdistFlockLab(b *testing.B) {
 	benchMask(b, "logdist", topology.FlockLab(), 1)
@@ -101,6 +102,14 @@ func BenchmarkBitsliceScalarLogdistFlockLab(b *testing.B) {
 
 func BenchmarkBitsliceLanes64LogdistFlockLab(b *testing.B) {
 	benchMask(b, "logdist", topology.FlockLab(), 64)
+}
+
+func BenchmarkBitsliceScalarLogdistDCube(b *testing.B) {
+	benchMask(b, "logdist", topology.DCube(), 1)
+}
+
+func BenchmarkBitsliceLanes64LogdistDCube(b *testing.B) {
+	benchMask(b, "logdist", topology.DCube(), 64)
 }
 
 func BenchmarkBitsliceScalarTraceFlockLab(b *testing.B) {

@@ -160,6 +160,27 @@ func TestReceiveConcurrentMaskCertainZeroDraws(t *testing.T) {
 	}
 }
 
+// TestReceiveConcurrentMaskLogDistanceZeroAlloc: the log-distance lane scan
+// keeps its per-lane best-RSSI and count scratch in fixed-size arrays on the
+// stack, so a 64-lane call allocates nothing.
+func TestReceiveConcurrentMaskLogDistanceZeroAlloc(t *testing.T) {
+	table := laneTables(t)["logdist"]
+	rngs := make([]*rand.Rand, phy.MaxLanes)
+	for l := range rngs {
+		rngs[l] = rand.New(rand.NewSource(int64(l)))
+	}
+	txs := []int{1, 2, 5, 9, 14}
+	txLanes := []uint64{^uint64(0), 0xf0f0f0f0f0f0f0f0, 0x5555555555555555, 1, ^uint64(0) >> 1}
+	rx := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		table.ReceiveConcurrentMask(rx, txs, txLanes, ^uint64(0), rngs)
+		rx = (rx + 3) % 20
+	})
+	if allocs != 0 {
+		t.Fatalf("log-distance ReceiveConcurrentMask allocates %v times per call, want 0", allocs)
+	}
+}
+
 // FuzzReceiveConcurrentMask fuzzes the kernel's structural invariants on a
 // trace union table (the mode with the richest certain/uncertain mix):
 //

@@ -68,7 +68,38 @@ type LinkTable struct {
 	// transmitter count, tabulated once instead of recomputed per draw
 	// (bitwise-identical — the table holds the function's own outputs).
 	log2 []float64
+	// brackets[k] bounds prrFromRSSI over grid cell k, the faded RSSIs x
+	// with (x-sensitivityDBm)*bracketInv in [k, k+1) (tableLogDistance
+	// only; nil when the parameters fall outside the exactness argument,
+	// and then every decision is exact arithmetic). See receives.
+	brackets   []prrBracket
+	bracketInv float64
 }
+
+// prrBracket holds bounds lo < p < hi on the computed reception
+// probability p of every faded RSSI that can land in its grid cell.
+type prrBracket struct{ lo, hi float64 }
+
+const (
+	// prrCellsPerWidth sets the bracket grid step to PRRWidthDB/80
+	// (1/32 dB at the default 2.5 dB width): a cell's bracket then spans at
+	// most 3/320 of probability, so a uniform draw is rarely inside it.
+	prrCellsPerWidth = 80
+	// prrMaxCells caps the grid at 4096 cells of 16 bytes: at most 64 KiB
+	// of brackets per table. Wider sigmoid spans get a coarser step.
+	prrMaxCells = 4096
+	// prrTopZ ends the grid at PRRMidpointDBm + 40 widths, where the
+	// computed sigmoid has reached 1; the rare faded RSSI above it takes
+	// the exact path.
+	prrTopZ = 40
+	// prrBracketMargin widens every bracket by far more than the error
+	// of the computed sigmoid (under 1e-15) and the grid's rounding.
+	prrBracketMargin = 1e-9
+	// prrMaxScale is the largest (|sensitivity|+|grid top|)/width the
+	// brackets are built for: beyond it the grid points' own rounding
+	// could approach the margin, so the table keeps the exact path only.
+	prrMaxScale = 1e5
+)
 
 // newLogDistanceTable snapshots the log-distance backend: the RSSI matrix
 // (rssi[tx][rx], transposed into receiver-major order) plus the sigmoid
@@ -100,7 +131,41 @@ func newLogDistanceTable(params Params, rssi [][]float64) *LinkTable {
 	for k := 1; k <= n; k++ {
 		t.log2[k] = math.Log2(float64(k))
 	}
+	t.buildBrackets()
 	return t
+}
+
+// buildBrackets tabulates prrFromRSSI on the grid g[j] = sensitivity +
+// j*step and brackets cell k by its neighbours: lo[k] = p(g[k-1]) - margin,
+// hi[k] = p(g[k+2]) + margin. Rounding can misplace a faded RSSI by at most
+// a sliver of a cell, so every x whose index is k lies in [g[k-1], g[k+2]],
+// and since the sigmoid increases and its computed form is within 1e-15 of
+// it, lo[k] < prrFromRSSI(x) < hi[k]. ARCHITECTURE.md "Hot path" has the
+// full argument.
+func (t *LinkTable) buildBrackets() {
+	s, w := t.sensitivityDBm, t.prrWidthDB
+	top := t.prrMidpointDBm + prrTopZ*w
+	if !(math.Abs(s)+math.Abs(top) < prrMaxScale*w) {
+		return // also rejects infinite or NaN parameters
+	}
+	step := w / prrCellsPerWidth
+	if span := top - s; span > prrMaxCells*step {
+		step = span / prrMaxCells
+	}
+	cells := int(math.Min(math.Ceil((top-s)/step), prrMaxCells))
+	if cells < 1 {
+		cells = 1 // midpoint far below the sensitivity floor
+	}
+	// p[j+1] = prrFromRSSI(g[j]) for j = -1 .. cells+1.
+	p := make([]float64, cells+3)
+	for j := range p {
+		p[j] = t.prrFromRSSI(s + float64(j-1)*step)
+	}
+	t.brackets = make([]prrBracket, cells)
+	for k := range t.brackets {
+		t.brackets[k] = prrBracket{lo: p[k] - prrBracketMargin, hi: p[k+3] + prrBracketMargin}
+	}
+	t.bracketInv = 1 / step
 }
 
 // prrTable builds a PRR-only table; prr is [tx][rx] and is transposed,
@@ -156,6 +221,44 @@ func (t *LinkTable) prrFromRSSI(rssi float64) float64 {
 	return 1 / (1 + math.Exp(-(rssi-t.prrMidpointDBm)/t.prrWidthDB))
 }
 
+// receives reports u < prrFromRSSI(faded), the log-distance reception
+// decision for a uniform draw u in [0, 1), without evaluating the sigmoid
+// unless u falls inside the bracket of faded's grid cell (a fraction of a
+// percent of draws) or faded lies above the grid.
+func (t *LinkTable) receives(faded, u float64) bool {
+	if faded < t.sensitivityDBm {
+		return false // p = 0
+	}
+	if r := (faded - t.sensitivityDBm) * t.bracketInv; r < float64(len(t.brackets)) {
+		b := t.brackets[int(r)]
+		if u < b.lo {
+			return true
+		}
+		if u >= b.hi {
+			return false
+		}
+	}
+	return u < t.prrFromRSSI(faded)
+}
+
+// logDistanceDraw is the draw sequence both log-distance reception paths
+// run once the transmitter set is known to be non-empty and free of the
+// receiver: a beating draw at two or more transmitters, a fading draw on
+// the best mean RSSI plus the CT gain, then the reception draw.
+func (t *LinkTable) logDistanceDraw(best float64, count int, rng *rand.Rand) bool {
+	if count >= 2 && rng.Float64() < t.ctBeatingLoss {
+		return false // beating corrupted the superposition
+	}
+	var log2Count float64
+	if count < len(t.log2) {
+		log2Count = t.log2[count]
+	} else { // defensive: a caller-supplied list with duplicates
+		log2Count = math.Log2(float64(count))
+	}
+	faded := best + rng.NormFloat64()*t.fadingSigmaDB + t.ctGainDB*log2Count
+	return t.receives(faded, rng.Float64())
+}
+
 // ReceiveConcurrentFast draws one reception attempt at rx when every node
 // in transmitters sends the same packet in the same synchronized slot. It
 // is draw-for-draw identical to the snapshotted backend's
@@ -178,17 +281,7 @@ func (t *LinkTable) ReceiveConcurrentFast(rx int, transmitters []int, rng *rand.
 				best = r
 			}
 		}
-		if len(transmitters) >= 2 && rng.Float64() < t.ctBeatingLoss {
-			return false // beating corrupted the superposition
-		}
-		var log2Count float64
-		if len(transmitters) < len(t.log2) {
-			log2Count = t.log2[len(transmitters)]
-		} else { // defensive: a caller-supplied list with duplicates
-			log2Count = math.Log2(float64(len(transmitters)))
-		}
-		faded := best + rng.NormFloat64()*t.fadingSigmaDB + t.ctGainDB*log2Count
-		return rng.Float64() < t.prrFromRSSI(faded)
+		return t.logDistanceDraw(best, len(transmitters), rng)
 	case tableBestPRR:
 		best := 0.0
 		for _, tx := range transmitters {
